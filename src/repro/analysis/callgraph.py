@@ -248,8 +248,3 @@ class CallGraph:
                 reverse.setdefault(callee, set()).add(qualname)
         return {k: sorted(v) for k, v in reverse.items()}
 
-    def functions_in(self, module: ModuleInfo) -> Iterator[FunctionInfo]:
-        for qualname in sorted(self.functions):
-            info = self.functions[qualname]
-            if info.module is module:
-                yield info

@@ -162,9 +162,6 @@ class PrecedenceGraph:
     def objects(self) -> Iterable[str]:
         return self._versions.keys()
 
-    def committed_versions(self, object_id: str) -> List[int]:
-        return list(self._versions.get(object_id, ()))
-
     def max_persisted_version(self, object_id: str) -> int:
         """Largest durable version of an object (cumulative restore point).
 
@@ -173,9 +170,6 @@ class PrecedenceGraph:
         the version list on every call.
         """
         return self._max_persisted.get(object_id, NEVER_COMMITTED)
-
-    def _dep_satisfied_at(self, dep: Token, cut: Dict[str, int]) -> bool:
-        return cut.get(dep.object_id, NEVER_COMMITTED) >= dep.version
 
     # -- cut computation ---------------------------------------------------
 
@@ -278,7 +272,3 @@ class PrecedenceGraph:
         self._cut_key = key
         self._cut_cache = result
         return result
-
-    def _dep_durable(self, dep: Token) -> bool:
-        """Whether some persisted token covers the dependency."""
-        return self.max_persisted_version(dep.object_id) >= dep.version

@@ -394,8 +394,3 @@ class FasterKV:
             checkpoint.until_address = max(
                 0, checkpoint.until_address - dropped)
         return dropped
-
-    # -- introspection ------------------------------------------------------------------
-
-    def size_estimate_bytes(self) -> int:
-        return len(self.log) * Record.SERIALIZED_BYTES

@@ -86,9 +86,6 @@ class RedisServer:
     def lastsave(self) -> float:
         return self.snapshots.lastsave()
 
-    def fsync_aof(self) -> None:
-        self.aof.fsync()
-
     # -- crash & restart ------------------------------------------------------
 
     def crash(self) -> None:

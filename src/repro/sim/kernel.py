@@ -643,16 +643,6 @@ class Environment:
             self._ev_c.append(c)
         return handle
 
-    def _schedule_at(self, when: float, event: Event) -> None:
-        self._sequence += 1
-        heapq.heappush(self._heap,
-                       (when, self._sequence,
-                        self._alloc(_K_EVENT, event, None, None)))
-
-    def _schedule_trigger(self, event: Event) -> None:
-        """Schedule callbacks of an already-triggered event at time now."""
-        self._schedule_at(self._now, event)
-
     def _schedule_resume(self, process: Process, channel: Channel,
                          value: Any) -> None:
         """Hand ``value`` to a channel-waiting process at time now

@@ -36,7 +36,8 @@ fail with :class:`QueueClosed`.
 
 :class:`BoundedQueue` adds the admission-control variant: a finite
 backlog with a shed-oldest or reject overload policy, shed counters,
-and an eviction callback (docs/OPENLOOP.md).
+an eviction callback, and *runs* — a ``range`` put as one item that
+counts as its elements (docs/OPENLOOP.md).
 """
 
 from __future__ import annotations
@@ -225,6 +226,41 @@ class Queue(Channel):
             self._start_pump()
 
 
+def _width(item: Any) -> int:
+    """Elements in a backlog item: a ``range`` is a run of its length."""
+    return len(item) if item.__class__ is range else 1
+
+
+class _Backlog(deque):
+    """A backlog whose ``len()`` counts elements, so the kernel's consume
+    fast paths, which pop ``_items`` directly, keep the gauge right."""
+
+    size = 0
+
+    def __len__(self) -> int:
+        return self.size
+
+    def append(self, item: Any) -> None:
+        self.size += _width(item)
+        deque.append(self, item)
+
+    def popleft(self) -> Any:
+        item = deque.popleft(self)
+        self.size -= _width(item)
+        return item
+
+    def clear(self) -> None:
+        self.size = 0
+        deque.clear(self)
+
+    def split_head(self, limit: int) -> None:
+        """Cut a head run longer than ``limit`` after ``limit`` elements."""
+        head = self[0]
+        if head.__class__ is range and len(head) > limit:
+            self[0] = head[limit:]
+            deque.appendleft(self, head[:limit])
+
+
 class BoundedQueue(Queue):
     """A :class:`Queue` with a finite backlog and an overload policy.
 
@@ -232,17 +268,23 @@ class BoundedQueue(Queue):
     the cluster (docs/OPENLOOP.md).  When a put would push the backlog
     past ``capacity``:
 
-    - ``"shed-oldest"`` evicts the head (the oldest queued item) to
+    - ``"shed-oldest"`` evicts the head (the oldest queued items) to
       make room — bounding *queueing delay* at the cost of dropping
       stale work;
     - ``"reject"`` refuses the newcomer — bounding *accepted work* and
       preserving everything already queued.
 
-    Either way the victim is counted (``shed_items``/``rejected_items``
+    Either way the victims are counted (``shed_items``/``rejected_items``
     plus a ``queue.<name>.shed``/``.rejected`` tracer counter) and
     handed to ``on_shed`` so the owner can release per-item state.  The
     cap applies to the backlog only: items handed straight to a waiter
     or an idle sink handler never queue, so they are never shed.
+
+    A ``range`` item is a *run*: it counts as its elements everywhere
+    above, and putting it observes what putting its elements one by one
+    would, except that the gauge and counters update once and
+    ``on_shed`` gets each run of victims as one ``range``.  Consumers
+    take whole items, or at most ``limit`` elements via :meth:`try_get`.
     """
 
     __slots__ = ("capacity", "policy", "on_shed", "shed_items",
@@ -259,6 +301,7 @@ class BoundedQueue(Queue):
             raise ValueError(
                 f"unknown policy {policy!r}; expected one of {self.POLICIES}")
         super().__init__(env, name=name)
+        self._items = _Backlog()
         self.capacity = capacity
         self.policy = policy
         self.on_shed = on_shed
@@ -269,24 +312,48 @@ class BoundedQueue(Queue):
         self._reject_key = base + ".rejected"
 
     def put(self, item: Any) -> None:
+        width = _width(item)
+        if not width:
+            return  # an empty run holds no elements
+        items = self._items
+        over = len(items) + width - self.capacity
         # The capacity check only matters when the item would join the
         # backlog: a closed queue raises in super().put, and waiters or
         # an idle sink handler take the item without queueing it.
-        if (len(self._items) >= self.capacity and not self._closed
-                and not self._waiters
+        if (over > 0 and not self._closed and not self._waiters
                 and (self._handler is None or self._pumping)):
             tracer = self.env.tracer
-            if self.policy == "reject":
-                self.rejected_items += 1
+            on_shed = self.on_shed
+            if self.policy == "reject":  # the elements that fit join
+                self.rejected_items += over
                 if tracer is not None:
-                    tracer.counter(self._reject_key)
-                if self.on_shed is not None:
-                    self.on_shed(item)
-                return
-            victim = self._items.popleft()
-            self.shed_items += 1
-            if tracer is not None:
-                tracer.counter(self._shed_key)
-            if self.on_shed is not None:
-                self.on_shed(victim)
+                    tracer.counter(self._reject_key, over)
+                fit = width - over
+                if on_shed is not None:
+                    on_shed(item[fit:] if fit else item)
+                if not fit:
+                    return
+                item = item[:fit]
+            else:
+                self.shed_items += over
+                if tracer is not None:
+                    tracer.counter(self._shed_key, over)
+                # Oldest first: the backlog's head, then the run's own.
+                while over and items:
+                    items.split_head(over)
+                    victim = items.popleft()
+                    over -= _width(victim)
+                    if on_shed is not None:
+                        on_shed(victim)
+                if over:
+                    if on_shed is not None:
+                        on_shed(item[:over])
+                    item = item[over:]
         super().put(item)
+
+    def try_get(self, default: Any = None, limit: Optional[int] = None
+                ) -> Any:
+        """:meth:`Queue.try_get`, taking at most ``limit`` elements."""
+        if limit is not None and self._items:
+            self._items.split_head(limit)
+        return super().try_get(default)

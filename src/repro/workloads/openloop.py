@@ -12,7 +12,8 @@ The pieces, front to back:
 
 - **Arrival process** — a generator samples how many sessions arrive
   each tick from a Poisson process (or a log-normal doubly-stochastic
-  one for bursty fleets) and stamps them into the session table.
+  one for bursty fleets) and stamps them into the session table as
+  one *run*, a ``range`` of handles.
 - **Session table** — per-session state is a handful of bytes in flat
   :mod:`array` columns keyed by integer handles (the array-kernel
   idiom), so a million concurrent sessions cost megabytes, not a
@@ -219,48 +220,70 @@ FREE, QUEUED, INFLIGHT, ACKED = 0, 1, 2, 3
 
 
 class SessionTable:
-    """Per-session state as flat array columns keyed by int handles.
+    """Per-session state as flat array columns, written a run at a time.
 
-    The whole point of the open-loop driver is scale: a session is one
-    byte of state plus one double of arrival time, recycled through a
-    free list, so a million concurrent sessions are ~9 MB of arrays
-    instead of a million Python objects (docs/PERFORMANCE.md's
-    array-kernel idiom applied to workload state).
+    A session is one byte of state plus one double of arrival time
+    (docs/PERFORMANCE.md's array-kernel idiom applied to workload
+    state).  Handles are issued in arrival order and never reused, so
+    a tick's sessions are one ``range`` and run writes are slice
+    assignments; handle ``h`` is row ``h - base``.  Whenever the rows
+    double, the retired prefix is cut off, so memory follows the live
+    span, not the sessions ever offered (docs/OPENLOOP.md).
     """
 
-    __slots__ = ("state", "arrival", "_free", "live", "peak_live",
-                 "allocated")
+    __slots__ = ("state", "arrival", "base", "live", "peak_live",
+                 "allocated", "_trim_at")
+
+    #: Rows held before the first retired-prefix trim.
+    TRIM_FLOOR = 4096
 
     def __init__(self) -> None:
         self.state = array("b")
         self.arrival = array("d")
-        self._free: List[int] = []
+        self.base = 0
         self.live = 0
         self.peak_live = 0
         self.allocated = 0
+        self._trim_at = self.TRIM_FLOOR
 
-    def alloc(self, now: float) -> int:
-        """Stamp a new QUEUED session in; returns its handle."""
-        free = self._free
-        if free:
-            handle = free.pop()
-            self.state[handle] = QUEUED
-            self.arrival[handle] = now
-        else:
-            handle = len(self.state)
-            self.state.append(QUEUED)
-            self.arrival.append(now)
-        self.allocated += 1
-        self.live += 1
-        if self.live > self.peak_live:
-            self.peak_live = self.live
-        return handle
+    def alloc(self, now: float, count: int, at_once: int) -> range:
+        """Stamp ``count`` QUEUED sessions arriving at ``now``; returns
+        their run.  ``at_once`` of them count toward ``peak_live``."""
+        state = self.state
+        if len(state) >= self._trim_at:
+            self._trim()
+        first = self.base + len(state)
+        state.extend(array("b", (QUEUED,)) * count)
+        self.arrival.extend(array("d", (now,)) * count)
+        self.allocated += count
+        if self.live + at_once > self.peak_live:
+            self.peak_live = self.live + at_once
+        self.live += count
+        return range(first, first + count)
 
-    def release(self, handle: int) -> None:
-        """Retire a session; its handle goes back on the free list."""
-        self.state[handle] = FREE
-        self.live -= 1
-        self._free.append(handle)
+    def mark(self, run: range, status: int) -> None:
+        """Set every session of ``run`` to ``status``."""
+        start = run.start - self.base
+        self.state[start:start + len(run)] = array("b", (status,)) * len(run)
+
+    def arrivals(self, run: range) -> array:
+        """The arrival times of ``run``'s sessions."""
+        start = run.start - self.base
+        return self.arrival[start:start + len(run)]
+
+    def release(self, run: range) -> None:
+        """Retire every session of ``run``."""
+        self.mark(run, FREE)
+        self.live -= len(run)
+
+    def _trim(self) -> None:
+        raw = self.state.tobytes()
+        retired = len(raw) - len(raw.lstrip(bytes((FREE,))))
+        if retired:
+            del self.state[:retired]
+            del self.arrival[:retired]
+            self.base += retired
+        self._trim_at = max(self.TRIM_FLOOR, 2 * len(self.state))
 
 
 class OpenLoopDriver:
@@ -302,10 +325,11 @@ class OpenLoopDriver:
         self.retry_backoff_cap: float = session["retry_backoff_cap"]
         self._max_inflight: int = admission["max_inflight"]
 
-        #: The admission queue holds handles of QUEUED sessions.
+        #: The admission queue holds runs of QUEUED sessions; a shed run
+        #: never ran, so its sessions are simply retired.
         self.admit = BoundedQueue(
             env, admission["queue_capacity"], name=f"admit:{address}",
-            policy=admission["policy"], on_shed=self._shed)
+            policy=admission["policy"], on_shed=self.table.release)
         if admission["token_rate"] > 0:
             burst = admission["token_burst"] or self._coalesce * self._ops
             self.bucket: Optional[TokenBucket] = TokenBucket(
@@ -324,9 +348,9 @@ class OpenLoopDriver:
         self._next_seqno = [1] * len(self.targets)
         self._inflight = [0] * len(self.targets)
         self._rr = 0
-        #: batch_id -> (target index, handle tuple) for in-flight batches.
-        self._batches: Dict[int, Tuple[int, Tuple[int, ...]]] = {}
-        #: object_id -> deque of (version, handle tuple), completed but
+        #: batch_id -> (target index, run tuple) for in-flight batches.
+        self._batches: Dict[int, Tuple[int, Tuple[range, ...]]] = {}
+        #: object_id -> deque of (version, run tuple), completed but
         #: not yet covered by a cut; insertion-ordered and versions are
         #: monotone per object, so commit absorption pops from the left.
         self._uncommitted: Dict[str, deque] = {}
@@ -338,11 +362,10 @@ class OpenLoopDriver:
 
         #: Exact per-session commit latencies (the SLO report computes
         #: exact percentiles; the shared stats reservoir still samples).
-        self.commit_latencies: List[float] = []
+        self.commit_latencies = array("d")
         self.completed_sessions = 0
         self.committed_sessions = 0
         self.aborted_sessions = 0
-        self.shed_sessions = 0
 
         self.running = True
         self.endpoint = net.register(address)
@@ -362,24 +385,21 @@ class OpenLoopDriver:
         mu = -0.5 * sigma * sigma  # unit-mean intensity multiplier
         rng = self._rng
         alloc = self.table.alloc
-        put = self.admit.put
+        admit = self.admit
+        capacity = admit.capacity
         while self.running:
             if lognormal:
                 count = poisson_draw(rng, lam * rng.lognormvariate(mu, sigma))
             else:
                 count = poisson_draw(rng, lam)
-            now = env.now
-            for _ in range(count):
-                put(alloc(now))
+            # Each arrival past the free room is shed before the next
+            # arrives, so at most room + 1 of them are live at once.
+            room = capacity - len(admit)
+            admit.put(alloc(env.now, count, min(count, room + 1)))
             self._dispatch()
             yield tick
             if not self.running:
                 break
-
-    def _shed(self, handle: int) -> None:
-        """Admission-queue eviction: the session never ran."""
-        self.table.release(handle)
-        self.shed_sessions += 1
 
     def _dispatch(self) -> None:
         """Drain the admission queue into per-target batches.
@@ -402,7 +422,7 @@ class OpenLoopDriver:
         max_inflight = self._max_inflight
         inflight = self._inflight
         n_targets = len(self.targets)
-        state = self.table.state
+        mark = self.table.mark
         try_get = admit.try_get
         send = self.net.send
         address = self.address
@@ -424,23 +444,26 @@ class OpenLoopDriver:
                 if count <= 0:
                     return  # throttled; the next tick refills
                 bucket.take(count * ops)
-            handles = tuple(try_get() for _ in range(count))
-            for handle in handles:
-                state[handle] = INFLIGHT
+            runs, need = [], count
+            while need:
+                runs.append(try_get(None, need))
+                mark(runs[-1], INFLIGHT)
+                need -= len(runs[-1])
             self._rr = (target_idx + 1) % n_targets
             inflight[target_idx] += 1
-            self._send_batch(target_idx, handles, now, send, address)
+            self._send_batch(target_idx, tuple(runs), count, now, send,
+                             address)
 
-    def _send_batch(self, target_idx: int, handles: Tuple[int, ...],
-                    now: float, send, address: str) -> None:
+    def _send_batch(self, target_idx: int, runs: Tuple[range, ...],
+                    sessions: int, now: float, send, address: str) -> None:
         recent = self._recent
         if recent:
             deps = tuple(Token(obj, ver) for obj, ver in recent.items())
             recent.clear()
         else:
             deps = ()
-        op_count = len(handles) * self._ops
-        write_count = len(handles) * self._write_count
+        op_count = sessions * self._ops
+        write_count = sessions * self._write_count
         self._next_batch += 1
         batch_id = self._next_batch
         first_seqno = self._next_seqno[target_idx]
@@ -449,7 +472,7 @@ class OpenLoopDriver:
             batch_id, self._session_ids[target_idx], address,
             self.world_line, self.version_scalar, first_seqno, op_count,
             write_count, deps, now, None, None)
-        self._batches[batch_id] = (target_idx, handles)
+        self._batches[batch_id] = (target_idx, runs)
         send(address, self.targets[target_idx], request, size_ops=op_count)
 
     # -- receiving --------------------------------------------------------------
@@ -466,10 +489,10 @@ class OpenLoopDriver:
         entry = self._batches.pop(reply.batch_id, None)
         if entry is None:
             return  # straggler from before a rollback, or a duplicate
-        target_idx, handles = entry
+        target_idx, runs = entry
         self._inflight[target_idx] -= 1
         if status == "ok":
-            self._complete(reply, handles, now)
+            self._complete(reply, runs, now)
         else:
             # "retry" / "not_owner": the ops never ran.  Back off and
             # push the sessions back through admission — under pressure
@@ -481,14 +504,12 @@ class OpenLoopDriver:
                           self.retry_backoff_cap)
             backoff *= 0.5 + 0.5 * self._rng.random()
             self.paused_until = max(self.paused_until, now + backoff)
-            state = self.table.state
-            put = self.admit.put
-            for handle in handles:
-                state[handle] = QUEUED
-                put(handle)
+            for run in runs:
+                self.table.mark(run, QUEUED)
+                self.admit.put(run)
         self._dispatch()
 
-    def _complete(self, reply, handles: Tuple[int, ...], now: float) -> None:
+    def _complete(self, reply, runs: Tuple[range, ...], now: float) -> None:
         self.retry_attempts = 0
         version = reply.version
         object_id = reply.object_id
@@ -496,18 +517,18 @@ class OpenLoopDriver:
             self.version_scalar = version
         if version > self._recent.get(object_id, 0):
             self._recent[object_id] = version
-        state = self.table.state
-        arrival = self.table.arrival
+        table = self.table
         op_latency = self.stats.operation_latency.add
-        for handle in handles:
-            state[handle] = ACKED
-            op_latency(now - arrival[handle])
-        self.completed_sessions += len(handles)
+        for run in runs:
+            table.mark(run, ACKED)
+            for arrived in table.arrivals(run):
+                op_latency(now - arrived)
+            self.completed_sessions += len(run)
         self.stats.completed.add(now, reply.op_count)
         pending = self._uncommitted.get(object_id)
         if pending is None:
             pending = self._uncommitted[object_id] = deque()
-        pending.append((version, handles))
+        pending.append((version, runs))
         cut = reply.cut
         if cut is not None and cut.versions != self._last_cut_seen:
             self._absorb_cut(cut, now)
@@ -516,8 +537,7 @@ class OpenLoopDriver:
         """Retire ACKED sessions the cut covers; their commit latency
         is arrival-to-cut, the open-loop number a knee curve plots."""
         self._last_cut_seen = dict(cut.versions)
-        arrival = self.table.arrival
-        release = self.table.release
+        table = self.table
         lat_append = self.commit_latencies.append
         commit_lat = self.stats.commit_latency.add
         committed = self.stats.committed
@@ -526,14 +546,15 @@ class OpenLoopDriver:
         for object_id, pending in self._uncommitted.items():
             cover = version_of(object_id)
             while pending and pending[0][0] <= cover:
-                _, handles = pending.popleft()
-                for handle in handles:
-                    latency = now - arrival[handle]
-                    lat_append(latency)
-                    commit_lat(latency)
-                    release(handle)
-                committed.add(now, len(handles) * ops)
-                self.committed_sessions += len(handles)
+                _, runs = pending.popleft()
+                for run in runs:
+                    for arrived in table.arrivals(run):
+                        latency = now - arrived
+                        lat_append(latency)
+                        commit_lat(latency)
+                sessions = self._release(runs)
+                committed.add(now, sessions * ops)
+                self.committed_sessions += sessions
 
     def _handle_rollback(self, new_world_line: int, cut: Optional[DprCut],
                          now: float) -> None:
@@ -543,31 +564,32 @@ class OpenLoopDriver:
             return  # duplicate notification
         self.world_line = new_world_line
         self._absorb_cut(cut if cut is not None else DprCut(), now)
-        release = self.table.release
-        aborted = self.stats.aborted
-        ops = self._ops
         for pending in self._uncommitted.values():
             while pending:
-                _, handles = pending.popleft()
-                for handle in handles:
-                    release(handle)
-                aborted.add(now, len(handles) * ops)
-                self.aborted_sessions += len(handles)
+                self._abort(pending.popleft()[1], now)
         # In-flight batches died with the old world-line; their
         # straggling replies describe rolled-back effects.
         inflight = self._inflight
         for batch_id in sorted(self._batches):
-            target_idx, handles = self._batches[batch_id]
+            target_idx, runs = self._batches[batch_id]
             inflight[target_idx] -= 1
-            for handle in handles:
-                release(handle)
-            aborted.add(now, len(handles) * ops)
-            self.aborted_sessions += len(handles)
+            self._abort(runs, now)
         self._batches.clear()
         self._recent.clear()
         self._last_cut_seen = None
         self.retry_attempts = 0
         self.paused_until = now + self.recovery_pause
+
+    def _release(self, runs: Tuple[range, ...]) -> int:
+        """Retire ``runs``; returns how many sessions they held."""
+        for run in runs:
+            self.table.release(run)
+        return sum(len(run) for run in runs)
+
+    def _abort(self, runs: Tuple[range, ...], now: float) -> None:
+        sessions = self._release(runs)
+        self.stats.aborted.add(now, sessions * self._ops)
+        self.aborted_sessions += sessions
 
     # -- control ----------------------------------------------------------------
 

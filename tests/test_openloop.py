@@ -93,21 +93,41 @@ class TestPrimitives:
         assert bucket.take(50.0)
         assert not bucket.take(1.0)
 
-    def test_session_table_recycles_handles(self):
+    def test_session_table_allocates_runs(self):
         table = SessionTable()
-        first = table.alloc(1.0)
-        second = table.alloc(2.0)
-        assert table.state[first] == QUEUED
-        assert (table.live, table.peak_live) == (2, 2)
+        first = table.alloc(1.0, 2, 2)
+        second = table.alloc(2.0, 1, 1)
+        assert (first, second) == (range(0, 2), range(2, 3))
+        assert list(table.state) == [QUEUED] * 3
+        assert list(table.arrival) == [1.0, 1.0, 2.0]
+        assert (table.live, table.peak_live) == (3, 3)
+        table.mark(second, ACKED)
         table.release(first)
-        assert table.state[first] == FREE
+        assert list(table.state) == [FREE, FREE, ACKED]
         assert table.live == 1
-        # The freed handle is reused; peak remembers the high-water.
-        assert table.alloc(3.0) == first
-        assert table.arrival[first] == 3.0
-        assert table.peak_live == 2
-        assert table.allocated == 3
-        assert second == 1
+        # Handles are not reused.  Five arrive into two free admission
+        # slots: each past the second is shed before the next arrives,
+        # so at most three of them (two slots plus one) are live at once.
+        third = table.alloc(3.0, 5, 3)
+        assert third == range(3, 8)
+        assert list(table.arrivals(third)) == [3.0] * 5
+        assert (table.live, table.peak_live) == (6, 4)
+        assert table.allocated == 8
+
+    def test_session_table_trims_retired_prefix(self):
+        table = SessionTable()
+        previous = table.alloc(0.0, 100, 100)
+        for tick in range(1, 500):
+            run = table.alloc(float(tick), 100, 100)
+            table.release(previous)
+            previous = run
+        # 50k sessions offered, 200 ever live: the rows follow the live
+        # span, and handles still resolve after the prefix is cut.
+        assert table.allocated == 50_000
+        assert table.base > 0
+        assert len(table.state) == len(table.arrival) <= \
+            SessionTable.TRIM_FLOOR + 100
+        assert list(table.arrivals(previous)) == [499.0] * 100
 
 
 SMALL_SCENARIO = {
@@ -204,6 +224,19 @@ class TestOpenLoopDriver:
         assert report["offered_sessions"] == (
             report["shed_sessions"] + report["committed_sessions"]
             + report["aborted_sessions"] + report["live_sessions"])
+
+    def test_session_table_stays_within_live_span(self):
+        # A long run below the knee offers many times more sessions than
+        # are ever live; the table must track the live ones.
+        scenario = {
+            "arrival": {"rate": 100_000.0},
+            "session": {"coalesce": 256},
+            "admission": {"queue_capacity": 200_000, "max_inflight": 16},
+        }
+        _, driver = run_dfaster(scenario, duration=2.0)
+        table = driver.table
+        assert table.allocated >= 10 * table.peak_live
+        assert len(table.state) <= 3 * table.peak_live
 
     def test_smoke_sustains_100k_concurrent_sessions(self):
         # The flagship scale documented in docs/OPENLOOP.md is 1M

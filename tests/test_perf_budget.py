@@ -75,6 +75,14 @@ CHAOS_SCENARIO_SHA = \
 REPLICATION_SCENARIO_SHA = \
     "8475dcd0c7d78192fc98312dd8fdd70fe2b183decde64e356518f18985c48fee"
 
+#: Digest of the open-loop scenario's output (its ``slo_report`` plus
+#: the trace SHA-256), captured on the per-session admission path
+#: before runs replaced it: log-normal arrivals, a token bucket,
+#: shed-oldest admission and a crash, so sheds and rollback aborts
+#: both feed the fingerprint.
+OPENLOOP_SCENARIO_SHA = \
+    "d150c7d61091bd7201732cc22f197f15c5b1ec9d0dfd8d7aef4176dd8d381e32"
+
 
 def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
@@ -175,3 +183,12 @@ class TestByteIdentity:
             "replication-scenario fingerprint diverged from the "
             "pre-array-core capture: event order changed on the "
             "chain/promotion path")
+
+    def test_openloop_scenario_fingerprint_unchanged(self):
+        from test_determinism_hashseed import (
+            OPENLOOP_SCENARIO, run_with_hashseed)
+        assert _sha(run_with_hashseed(0, OPENLOOP_SCENARIO)) == \
+            OPENLOOP_SCENARIO_SHA, (
+            "open-loop scenario fingerprint diverged from the per-session "
+            "admission capture: the run-structured driver must shed, "
+            "dispatch and commit exactly the sessions it did")

@@ -1,6 +1,8 @@
 """Tests for the FIFO queue primitive."""
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.obs import Tracer
 from repro.sim.kernel import Environment
@@ -221,6 +223,78 @@ class TestBoundedQueue:
             BoundedQueue(env, capacity=0)
         with pytest.raises(ValueError):
             BoundedQueue(env, capacity=4, policy="drop-newest")
+
+
+def _elements(item):
+    """What a backlog item stands for: a run's elements, or itself."""
+    return list(item) if item.__class__ is range else [item]
+
+
+def _observed(queue, tracer, victims):
+    key = "queue.adm"
+    return (len(queue), queue.shed_items, queue.rejected_items,
+            list(victims), tracer.queue_depths.get(key),
+            tracer.queue_high_watermarks.get(key),
+            tracer.counters.get(key + ".shed"),
+            tracer.counters.get(key + ".rejected"))
+
+
+_run_ops = st.lists(st.one_of(
+    st.tuples(st.just("put"), st.integers(0, 30)),
+    st.tuples(st.just("take"), st.integers(1, 15))), max_size=40)
+
+
+class TestBoundedQueueRuns:
+    """A put run observes exactly what putting its elements does."""
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(policy=st.sampled_from(BoundedQueue.POLICIES),
+           capacity=st.integers(1, 20), ops=_run_ops)
+    def test_run_equals_its_elements(self, policy, capacity, ops):
+        run_env, run_tracer = traced_env()
+        one_env, one_tracer = traced_env()
+        run_victims, one_victims = [], []
+        runs = BoundedQueue(
+            run_env, capacity, name="adm", policy=policy,
+            on_shed=lambda item: run_victims.extend(_elements(item)))
+        ones = BoundedQueue(one_env, capacity, name="adm", policy=policy,
+                            on_shed=one_victims.append)
+        next_handle = 0
+        for op, size in ops:
+            if op == "put":
+                run = range(next_handle, next_handle + size)
+                next_handle += size
+                runs.put(run)
+                for element in run:
+                    ones.put(element)
+            else:
+                taken, need = [], size
+                while need and len(runs):
+                    item = runs.try_get(limit=need)
+                    assert len(_elements(item)) <= need
+                    taken.extend(_elements(item))
+                    need -= len(_elements(item))
+                expected = [ones.try_get()
+                            for _ in range(min(size, len(ones)))]
+                assert taken == expected
+            assert _observed(runs, run_tracer, run_victims) == \
+                _observed(ones, one_tracer, one_victims)
+            assert len(runs) <= capacity
+        drained = [e for item in runs.drain() for e in _elements(item)]
+        assert drained == ones.drain()
+        assert _observed(runs, run_tracer, run_victims) == \
+            _observed(ones, one_tracer, one_victims)
+
+    def test_try_get_without_limit_takes_a_whole_run(self, env):
+        queue = BoundedQueue(env, capacity=10)
+        queue.put(range(3, 7))
+        queue.put("x")
+        assert len(queue) == 5
+        assert queue.try_get(limit=3) == range(3, 6)
+        assert queue.try_get() == range(6, 7)
+        assert queue.try_get(limit=3) == "x"
+        assert len(queue) == 0
 
 
 class TestQueueClose:
