@@ -113,6 +113,7 @@ class ModuleInfo:
         self.module = module
         self.tree = tree
         self.lines = source.splitlines()
+        self._imports: Optional[Dict[str, str]] = None
         self.line_suppressions: Dict[int, Set[str]] = {}
         self.file_suppressions: Set[str] = set()
         for lineno, text in enumerate(self.lines, start=1):
@@ -152,8 +153,11 @@ class ModuleInfo:
         ``import time`` maps ``time -> time``; ``from time import
         perf_counter`` maps ``perf_counter -> time.perf_counter``;
         ``import numpy as np`` maps ``np -> numpy``.  Relative imports
-        resolve against this module's package.
+        resolve against this module's package.  Built once per module;
+        callers share the result and must not mutate it.
         """
+        if self._imports is not None:
+            return self._imports
         mapping: Dict[str, str] = {}
         package_parts = self.module.split(".")[:-1]
         for node in ast.walk(self.tree):
@@ -176,6 +180,7 @@ class ModuleInfo:
                     local = alias.asname or alias.name
                     mapping[local] = (f"{origin}.{alias.name}"
                                       if origin else alias.name)
+        self._imports = mapping
         return mapping
 
 

@@ -10,25 +10,17 @@ Usage::
     python -m repro.bench fig10 --budget 12       # exit 1 if slower
     python -m repro.bench --compare base.json cur.json --tolerance 0.15
 
+Every figure run also checks the figure's §7 claims that apply at its
+scale (see :mod:`repro.bench.figures`) and exits 1 if one fails.
+
 ``--profile`` runs the sweep under cProfile, prints a per-experiment
 wall-clock breakdown plus the hottest functions, and writes the raw
-profile (pstats format) to ``--profile-out`` for ``snakeviz``/``pstats``
-offline digging — see ``docs/PERFORMANCE.md`` for the workflow.
-cProfile's tracing hook inflates the array core's wall clock by ~2.5x
-(the hot loop is many tiny Python calls, the worst case for per-call
-tracing overhead), so profiled numbers are only comparable to each
-other, never to budgets.
-``--budget`` turns the run into a wall-clock regression gate: CI runs
-the fig10 smoke configuration under the budget recorded in
-``docs/PERFORMANCE.md`` and fails the build when it blows through.
-Budgets gate *unprofiled* time — combining ``--budget`` with
-``--profile`` is rejected, because a ~2.5x-inflated measurement would
-fail any honest budget; wallclock_probe deltas from an unprofiled run
-are the budget source of truth.
-
-The pytest benchmarks in ``benchmarks/`` remain the source of truth for
-shape assertions; this entry point is for quick interactive sweeps and
-for the CI perf-regression gate (``--compare`` exits 1 on regression).
+profile (pstats format) to ``--profile-out``; cProfile inflates the
+array core's wall clock ~2.5x, so profiled numbers are only comparable
+to each other (docs/PERFORMANCE.md).  ``--budget`` turns the run into
+a wall-clock regression gate on *unprofiled* time, so combining it
+with ``--profile`` is rejected.  ``--compare`` exits 1 when an
+artifact's throughput regressed beyond ``--tolerance``.
 """
 
 from __future__ import annotations
@@ -41,7 +33,7 @@ import time
 from pathlib import Path
 
 from repro.bench import artifacts
-from repro.bench.figures import FIGURES, generate, generate_artifact
+from repro.bench.figures import FIGURES, run_figure
 from repro.bench.harness import wallclock_probe
 
 
@@ -134,21 +126,20 @@ def main(argv=None) -> int:
     # banned repo-wide by dprlint DPR-D01, and repro.bench is on the
     # linter's timer allowlist precisely for this call.
     started = time.perf_counter()
-    texts = []
+    texts, failed = [], []
     with wallclock_probe() as experiment_stamps:
         if profiler is not None:
             profiler.enable()
         try:
             for figure in figures:
+                run = run_figure(figure, scale=args.scale)
                 if json_dir is not None:
-                    text, artifact = generate_artifact(figure,
-                                                       scale=args.scale)
                     path = json_dir / artifacts.artifact_name(figure)
-                    artifacts.write_artifact(artifact, path)
+                    artifacts.write_artifact(artifacts.build_artifact(
+                        figure, args.scale, run.results), path)
                     print(f"[wrote {path}]")
-                else:
-                    text = generate(figure, scale=args.scale)
-                texts.append(text)
+                texts.append(run.text)
+                failed += [f"{figure}: {claim}" for claim in run.failed]
         finally:
             if profiler is not None:
                 profiler.disable()
@@ -162,13 +153,15 @@ def main(argv=None) -> int:
     if args.output:
         with open(args.output, "w") as handle:
             handle.write(text + "\n")
+    for claim in failed:
+        print(f"CLAIM FAILED: {claim}")
     if args.budget is not None and elapsed > args.budget:
         print(f"BUDGET EXCEEDED: {elapsed:.1f}s > {args.budget:.1f}s "
               f"allowed (see docs/PERFORMANCE.md)")
         return 1
     if args.budget is not None:
         print(f"[within budget: {elapsed:.1f}s <= {args.budget:.1f}s]")
-    return 0
+    return 1 if failed else 0
 
 
 def _report_profile(profiler: cProfile.Profile, out_path: str,

@@ -1,8 +1,10 @@
 """Tests for the benchmark tooling: report rendering, harness, CLI."""
 
+import dataclasses
+
 import pytest
 
-from repro.bench.figures import FIGURES, generate
+from repro.bench.figures import FIGURES, Claim, Figure, generate, run_figure
 from repro.bench.harness import run_dfaster_experiment, run_dredis_experiment
 from repro.bench.report import format_latency_histogram, format_table
 from repro.cluster.dredis import RedisMode
@@ -95,6 +97,47 @@ class TestFiguresModule:
         text = generate("fig18", scale=0.5)
         assert "Figure 18" in text
         assert "d-redis" in text
+
+
+class TestClaims:
+    def test_claim_names_unique_within_each_figure(self):
+        for name, figure in FIGURES.items():
+            names = [claim.name for claim in figure.claims]
+            assert len(names) == len(set(names)), name
+
+    def test_every_claim_is_checked_at_full_scale(self):
+        # benchmarks/test_figures.py runs at scale 1.0 and asserts every
+        # claim; a min_scale above 1.0 would skip it there silently.
+        for figure in FIGURES.values():
+            for claim in figure.claims:
+                assert 0.0 < claim.min_scale <= 1.0, claim.name
+
+    def test_claims_above_the_scale_are_skipped_not_passed(self,
+                                                          monkeypatch):
+        calls = []
+        stub = Figure("Stub", lambda scale: [{"x": 1}], (
+            Claim("holds", lambda rows, results: True, min_scale=0.5),
+            Claim("full scale only",
+                  lambda rows, results: calls.append(1), min_scale=1.0),
+        ))
+        monkeypatch.setitem(FIGURES, "stub", stub)
+        run = run_figure("stub", scale=0.5)
+        assert run.verdicts == {"holds": True, "full scale only": None}
+        assert run.failed == [] and calls == []
+        assert "pass  holds" in run.text
+        assert "skip  full scale only (checked from scale 1)" in run.text
+
+    def test_cli_exits_1_and_names_the_failing_claim(self, monkeypatch,
+                                                     capsys):
+        from repro.bench.__main__ import main
+        failing = Claim("d-redis is free", lambda rows, results: False,
+                        min_scale=0.5)
+        monkeypatch.setitem(FIGURES, "fig18", dataclasses.replace(
+            FIGURES["fig18"], claims=FIGURES["fig18"].claims + (failing,)))
+        assert main(["fig18", "--scale", "0.5"]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL  d-redis is free" in out
+        assert "CLAIM FAILED: fig18: d-redis is free" in out
 
 
 class TestCli:
